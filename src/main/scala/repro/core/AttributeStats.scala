@@ -3,6 +3,21 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
+/** Importance of one predicate of a KB. */
+final case class PredStats(pred: String, support: Double, discriminability: Double, importance: Double)
+
+/** Both predicate rankings of a KB, most important first, ties broken by
+  * predicate name.
+  */
+final case class KBStats(literals: Seq[PredStats], relations: Seq[PredStats]) {
+
+  /** The k most distinctive literal attributes — their values act as names. */
+  def nameAttributes(k: Int): Seq[String] = literals.take(k).map(_.pred)
+
+  /** The N most important relations — their targets are "best neighbors". */
+  def topRelations(n: Int): Seq[String] = relations.take(n).map(_.pred)
+}
+
 /** Predicate-importance statistics.
   *
   * The paper defines the importance of a predicate p in a KB E as the
@@ -16,53 +31,47 @@ import org.apache.spark.sql.functions._
   */
 object AttributeStats {
 
-  private def withImportance(grouped: DataFrame, nEntities: Double): DataFrame = {
-    val s = col("ents") / nEntities
+  private def predStats(pred: String, ents: Long, vals: Long, nEntities: Double): PredStats = {
+    val s = ents / nEntities
     // Multi-valued attributes can have more distinct objects than carrying
     // entities; a ratio above 1 adds no identifying power, so cap at 1.
-    val d = least(lit(1.0), col("vals").cast("double") / col("ents"))
-    grouped
-      .withColumn("support", s)
-      .withColumn("discriminability", d)
-      .withColumn(
-        "importance",
-        when(col("support") + col("discriminability") > 0,
-             lit(2.0) * col("support") * col("discriminability") /
-               (col("support") + col("discriminability"))).otherwise(lit(0.0)))
-      .select(KB.Pred, "support", "discriminability", "importance")
+    val d = math.min(1.0, vals.toDouble / ents)
+    PredStats(pred, s, d, if (s + d > 0) 2.0 * s * d / (s + d) else 0.0)
   }
 
-  /** (pred, support, discriminability, importance) for literal attributes. */
-  def literalAttrStats(triples: DataFrame): DataFrame = {
-    val n = math.max(1L, KB.numEntities(triples)).toDouble
-    val grouped = KB.literals(triples)
-      .groupBy(KB.Pred)
-      .agg(countDistinct(KB.Eid).as("ents"), countDistinct(KB.Lit).as("vals"))
-    withImportance(grouped, n)
-  }
+  private val byImportance = Ordering.by[PredStats, (Double, String)](p => (-p.importance, p.pred))(
+    Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.String))
 
-  /** (pred, support, discriminability, importance) for relations. */
-  def relationStats(triples: DataFrame): DataFrame = {
-    val n = math.max(1L, KB.numEntities(triples)).toDouble
-    val grouped = KB.relations(triples)
-      .groupBy(KB.Pred)
-      .agg(countDistinct(KB.Eid).as("ents"), countDistinct(KB.Obj).as("vals"))
-    withImportance(grouped, n)
-  }
-
-  private def topPreds(stats: DataFrame, k: Int): Seq[String] =
-    stats.orderBy(desc("importance"), asc(KB.Pred))
-      .select(KB.Pred)
-      .limit(k)
+  /** Literal-attribute and relation statistics of a KB in one Spark job.
+    *
+    * One aggregation over the triples, grouped by (kind, pred) and over all
+    * rows, counts the carrying entities and distinct objects of every
+    * predicate as well as |E|; the importance scores and both rankings are
+    * then computed on the driver from those few rows.
+    */
+  def of(triples: DataFrame): KBStats = {
+    val rows = triples
+      .select(
+        col(KB.Eid), col(KB.Pred),
+        when(col(KB.Lit).isNotNull, "lit").when(col(KB.Obj).isNotNull, "rel").as("kind"),
+        coalesce(col(KB.Lit), col(KB.Obj).cast("string")).as("value"))
+      .groupingSets(Seq(Seq(col("kind"), col(KB.Pred)), Seq()), col("kind"), col(KB.Pred))
+      .agg(countDistinct(KB.Eid).as("ents"), countDistinct("value").as("vals"),
+           grouping_id().cast("int").as("total"))
       .collect()
-      .map(_.getString(0))
-      .toSeq
+    val (totals, preds) = rows.partition(_.getAs[Int]("total") != 0)
+    val n = math.max(1L, totals.headOption.fold(0L)(_.getAs[Long]("ents"))).toDouble
+    def ranking(kind: String): Seq[PredStats] =
+      preds.toSeq
+        .filter(_.getAs[String]("kind") == kind)
+        .map(r => predStats(r.getAs[String](KB.Pred), r.getAs[Long]("ents"), r.getAs[Long]("vals"), n))
+        .sorted(byImportance)
+    KBStats(ranking("lit"), ranking("rel"))
+  }
 
-  /** The k most distinctive literal attributes — their values act as names. */
-  def topKNameAttributes(triples: DataFrame, k: Int): Seq[String] =
-    topPreds(literalAttrStats(triples), k)
+  /** [[KBStats.nameAttributes]] of the KB. */
+  def topKNameAttributes(triples: DataFrame, k: Int): Seq[String] = of(triples).nameAttributes(k)
 
-  /** The N most important relations — their targets are "best neighbors". */
-  def topNRelations(triples: DataFrame, n: Int): Seq[String] =
-    topPreds(relationStats(triples), n)
+  /** [[KBStats.topRelations]] of the KB. */
+  def topNRelations(triples: DataFrame, n: Int): Seq[String] = of(triples).topRelations(n)
 }

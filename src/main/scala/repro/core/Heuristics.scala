@@ -15,11 +15,15 @@ import org.apache.spark.sql.functions._
   */
 object Heuristics {
 
+  /** Drops the pairs whose e1 or e2 is already matched. The matched-id sets
+    * hold a few hundred ids, so they are broadcast; an anti join needs no
+    * `distinct` on its build side.
+    */
   private def excludeMatched(sims: DataFrame,
                              matchedE1: DataFrame,
                              matchedE2: DataFrame): DataFrame =
-    sims.join(matchedE1.select("e1").distinct(), Seq("e1"), "left_anti")
-        .join(matchedE2.select("e2").distinct(), Seq("e2"), "left_anti")
+    sims.join(broadcast(matchedE1.select("e1")), Seq("e1"), "left_anti")
+        .join(broadcast(matchedE2.select("e2")), Seq("e2"), "left_anti")
 
   /** H2 — value heuristic.
     *
@@ -77,33 +81,29 @@ object Heuristics {
       .select("e1", "e2")
   }
 
-  /** Top-K pairs of a sim table, ranked within `partCol` ("e1" or "e2"). */
-  private def topKPairs(sims: DataFrame, simCol: String, partCol: String, K: Int): DataFrame = {
-    val other = if (partCol == "e1") "e2" else "e1"
-    val w = Window.partitionBy(partCol).orderBy(desc(simCol), asc(other))
-    sims.withColumn("rn", row_number().over(w))
-      .where(col("rn") <= K)
-      .select("e1", "e2")
-  }
-
   /** H4 — reciprocity heuristic.
     *
     * A candidate match (ei, ej) survives only if ej is among ei's top-K value
     * OR neighbor candidates, AND ei is among ej's top-K value or neighbor
     * candidates. Lists are computed from the full sim tables: reciprocity is
-    * a verification of the matches produced by H1–H3.
+    * a verification of the matches produced by H1–H3. Both sim tables go
+    * through one window per side, partitioned by entity and sim kind.
     */
   def h4(candidates: DataFrame,
          valueSims: DataFrame,
          neighborSims: DataFrame,
          K: Int): DataFrame = {
-    val ns = neighborSims.where(col("nsim") > 0)
-    val from1 = topKPairs(valueSims, "vsim", "e1", K)
-      .union(topKPairs(ns, "nsim", "e1", K)).distinct()
-    val from2 = topKPairs(valueSims, "vsim", "e2", K)
-      .union(topKPairs(ns, "nsim", "e2", K)).distinct()
+    val sims = valueSims.select(col("e1"), col("e2"), lit("v").as("kind"), col("vsim").as("sim"))
+      .union(neighborSims.where(col("nsim") > 0)
+               .select(col("e1"), col("e2"), lit("n").as("kind"), col("nsim").as("sim")))
+    def topK(side: String, other: String): DataFrame = {
+      val w = Window.partitionBy(side, "kind").orderBy(desc("sim"), asc(other))
+      sims.withColumn("rn", row_number().over(w))
+        .where(col("rn") <= K)
+        .select("e1", "e2")
+    }
     candidates
-      .join(from1, Seq("e1", "e2"), "left_semi")
-      .join(from2, Seq("e1", "e2"), "left_semi")
+      .join(topK("e1", "e2"), Seq("e1", "e2"), "left_semi")
+      .join(topK("e2", "e1"), Seq("e1", "e2"), "left_semi")
   }
 }

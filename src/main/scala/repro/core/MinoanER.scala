@@ -30,6 +30,12 @@ final case class MinoanERResult(
   * collections B_N (whole-name blocks) and B_T (purged token blocks); all
   * similarity evidence — values, names, neighbors — is derived from block
   * statistics alone, with no schema alignment and no iteration.
+  *
+  * `resolve` runs only the Spark jobs its driver-side decisions need: one
+  * statistics job per KB and the purging histogram. Matching stays lazy;
+  * every intermediate read more than once (tokens, blocks, sims, H1 and H2
+  * matches, the final matches) is persisted, so the first job that needs
+  * one computes it and later jobs read it from memory.
   */
 object MinoanER {
 
@@ -39,17 +45,19 @@ object MinoanER {
               params: MinoanERParams = MinoanERParams()): MinoanERResult = {
 
     // Statistics: distinctive name attributes and important relations.
-    val nameAttrs1 = AttributeStats.topKNameAttributes(kb1, params.k)
-    val nameAttrs2 = AttributeStats.topKNameAttributes(kb2, params.k)
-    val topRels1   = AttributeStats.topNRelations(kb1, params.N)
-    val topRels2   = AttributeStats.topNRelations(kb2, params.N)
+    val stats1     = AttributeStats.of(kb1)
+    val stats2     = AttributeStats.of(kb2)
+    val nameAttrs1 = stats1.nameAttributes(params.k)
+    val nameAttrs2 = stats2.nameAttributes(params.k)
+    val topRels1   = stats1.topRelations(params.N)
+    val topRels2   = stats2.topRelations(params.N)
 
     // B_N and H1.
     val names1 = NameBlocking.names(kb1, nameAttrs1)
     val names2 = NameBlocking.names(kb2, nameAttrs2)
     val bn     = NameBlocking.blocks(names1, names2)
     val m1 = NameBlocking.h1Matches(names1, names2)
-      .withColumn("heuristic", lit("H1"))
+      .withColumn("heuristic", lit("H1")).cache()
 
     // B_T, purging, valueSim.
     val tok1     = Tokenizer.entityTokens(kb1).cache()
@@ -66,7 +74,7 @@ object MinoanER {
 
     // H2 on entities unmatched by H1.
     val m2 = Heuristics.h2(vs, m1.select("e1"), m1.select("e2"))
-      .withColumn("heuristic", lit("H2"))
+      .withColumn("heuristic", lit("H2")).cache()
 
     // H3 on entities unmatched by H1 and H2.
     val matched1 = m1.select("e1").union(m2.select("e1"))
@@ -76,7 +84,7 @@ object MinoanER {
 
     // H4 verification of the disjunction.
     val all     = m1.unionByName(m2).unionByName(m3)
-    val matches = Heuristics.h4(all, vs, ns, params.K)
+    val matches = Heuristics.h4(all, vs, ns, params.K).cache()
 
     MinoanERResult(matches, nameAttrs1, nameAttrs2, topRels1, topRels2,
                    bn, btAll, btKept, vs, ns)

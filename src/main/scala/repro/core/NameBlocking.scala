@@ -12,7 +12,9 @@ import org.apache.spark.sql.functions._
   */
 object NameBlocking {
 
-  /** Distinct (eid, name): lower-cased, trimmed values of the name attrs. */
+  /** Distinct (eid, name): lower-cased, trimmed values of the name attrs.
+    * Being distinct, a name's rows count its entities in the blocks below.
+    */
   def names(triples: DataFrame, nameAttrs: Seq[String]): DataFrame =
     KB.literals(triples)
       .where(col(KB.Pred).isin(nameAttrs: _*))
@@ -22,8 +24,8 @@ object NameBlocking {
 
   /** Cross-KB name blocks: (name, n1, n2, comparisons) for names on both sides. */
   def blocks(names1: DataFrame, names2: DataFrame): DataFrame = {
-    val b1 = names1.groupBy("name").agg(countDistinct(KB.Eid).as("n1"))
-    val b2 = names2.groupBy("name").agg(countDistinct(KB.Eid).as("n2"))
+    val b1 = names1.groupBy("name").agg(count(lit(1)).as("n1"))
+    val b2 = names2.groupBy("name").agg(count(lit(1)).as("n2"))
     b1.join(b2, "name").withColumn("comparisons", col("n1") * col("n2"))
   }
 
@@ -37,10 +39,10 @@ object NameBlocking {
   /** H1 matches: name blocks of size exactly 1 x 1. */
   def h1Matches(names1: DataFrame, names2: DataFrame): DataFrame = {
     val u1 = names1.groupBy("name")
-      .agg(countDistinct(KB.Eid).as("c1"), min(KB.Eid).as("e1"))
+      .agg(count(lit(1)).as("c1"), min(KB.Eid).as("e1"))
       .where(col("c1") === 1)
     val u2 = names2.groupBy("name")
-      .agg(countDistinct(KB.Eid).as("c2"), min(KB.Eid).as("e2"))
+      .agg(count(lit(1)).as("c2"), min(KB.Eid).as("e2"))
       .where(col("c2") === 1)
     u1.join(u2, "name").select("e1", "e2").distinct()
   }

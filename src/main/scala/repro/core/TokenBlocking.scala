@@ -37,12 +37,15 @@ object TokenBlocking {
     * work). The walk stops at the first level whose removal yields a
     * marginal gain, so long-tailed realistic histograms keep their small and
     * mid blocks while stop-word mega blocks are purged.
+    *
+    * The histogram has one row per level, so it is sorted on the driver;
+    * computing it is the only Spark job.
     */
   def purge(blockDf: DataFrame, smooth: Double = 1.025): DataFrame = {
     val levels = blockDf.groupBy("comparisons")
       .agg(sum(col("n1") + col("n2")).as("assignments"), count(lit(1)).as("nblocks"))
-      .orderBy("comparisons")
       .collect()
+      .sortBy(_.getLong(0))
     if (levels.isEmpty) return blockDf
 
     var cumA = 0.0

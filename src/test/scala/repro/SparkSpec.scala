@@ -1,6 +1,9 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.testutil.ListenerBus
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -8,14 +11,41 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * limit). Size-based broadcast joins are off, so joins take the shuffle
+  * path unless a query asks otherwise; the explicit `broadcast` hints in
+  * `repro.core` still apply.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body` under the given SQL settings and restores the previous ones. */
+  def withConf[T](settings: (String, String)*)(body: => T): T = {
+    val saved = settings.map { case (k, _) => k -> spark.conf.getOption(k) }
+    settings.foreach { case (k, v) => spark.conf.set(k, v) }
+    try body
+    finally saved.foreach {
+      case (k, Some(v)) => spark.conf.set(k, v)
+      case (k, None)    => spark.conf.unset(k)
+    }
+  }
+
+  /** `body`'s result and the number of Spark jobs it launched. */
+  def countingJobs[T](body: => T): (T, Int) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBus.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val out = body
+      ListenerBus.drain(sc)
+      (out, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

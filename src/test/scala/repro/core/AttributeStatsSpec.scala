@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{Oracle, SparkSpec}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 class AttributeStatsSpec extends SparkSpec {
@@ -22,8 +23,29 @@ class AttributeStatsSpec extends SparkSpec {
     KB.TripleRow(2, "knows", None, Some(2L)),
     KB.TripleRow(0, "likes", None, Some(3L))))
 
-  private def statsMap = AttributeStats.literalAttrStats(kb).collect()
-    .map(r => r.getString(0) -> (r.getDouble(1), r.getDouble(2), r.getDouble(3))).toMap
+  private lazy val stats = AttributeStats.of(kb)
+
+  private def statsMap = stats.literals
+    .map(p => p.pred -> (p.support, p.discriminability, p.importance)).toMap
+
+  /** The statistics as separate Spark aggregations per predicate kind (the
+    * original formulation): support, capped discriminability, importance.
+    */
+  private def perKindStats(triples: DataFrame, valueCol: String): Map[String, PredStats] = {
+    val n = math.max(1L, KB.numEntities(triples)).toDouble
+    triples.where(col(valueCol).isNotNull).groupBy("pred")
+      .agg(countDistinct("eid").as("ents"), countDistinct(valueCol).as("vals"))
+      .withColumn("support", col("ents") / n)
+      .withColumn("discriminability", least(lit(1.0), col("vals").cast("double") / col("ents")))
+      .withColumn("importance",
+        when(col("support") + col("discriminability") > 0,
+             lit(2.0) * col("support") * col("discriminability") /
+               (col("support") + col("discriminability"))).otherwise(lit(0.0)))
+      .select("pred", "support", "discriminability", "importance")
+      .collect()
+      .map(r => r.getString(0) -> PredStats(r.getString(0), r.getDouble(1), r.getDouble(2), r.getDouble(3)))
+      .toMap
+  }
 
   test("support of a universal attribute is 1") {
     assert(math.abs(statsMap("name")._1 - 1.0) < 1e-9)
@@ -56,20 +78,18 @@ class AttributeStatsSpec extends SparkSpec {
   }
 
   test("relation stats cover relation predicates only") {
-    val rels = AttributeStats.relationStats(kb).collect().map(_.getString(0)).toSet
+    val rels = stats.relations.map(_.pred).toSet
     assert(rels == Set("knows", "likes"))
   }
 
   test("relation support counts subjects") {
-    val m = AttributeStats.relationStats(kb).collect()
-      .map(r => r.getString(0) -> r.getDouble(1)).toMap
+    val m = stats.relations.map(p => p.pred -> p.support).toMap
     assert(math.abs(m("knows") - 0.75) < 1e-9)
     assert(math.abs(m("likes") - 0.25) < 1e-9)
   }
 
   test("relation discriminability counts distinct targets") {
-    val m = AttributeStats.relationStats(kb).collect()
-      .map(r => r.getString(0) -> r.getDouble(2)).toMap
+    val m = stats.relations.map(p => p.pred -> p.discriminability).toMap
     assert(math.abs(m("knows") - 2.0 / 3) < 1e-9)
   }
 
@@ -79,6 +99,34 @@ class AttributeStatsSpec extends SparkSpec {
 
   test("topN with n larger than relation count returns all") {
     assert(AttributeStats.topNRelations(kb, 5).toSet == Set("knows", "likes"))
+  }
+
+  test("the one-pass statistics equal per-kind aggregations bit for bit") {
+    assert(stats.literals.map(p => p.pred -> p).toMap == perKindStats(kb, "lit"))
+    assert(stats.relations.map(p => p.pred -> p).toMap == perKindStats(kb, "obj"))
+  }
+
+  test("rankings are ordered by importance, ties by predicate name") {
+    // name (1.0) > cat and rare, which tie at importance 0.4.
+    assert(stats.literals.map(_.pred) == Seq("name", "cat", "rare"))
+    assert(stats.relations.map(_.pred) == Seq("knows", "likes"))
+  }
+
+  test("the one-pass statistics launch a single Spark job") {
+    val (_, jobs) = withConf("spark.sql.adaptive.enabled" -> "false") {
+      countingJobs(AttributeStats.of(kb))
+    }
+    assert(jobs == 1)
+  }
+
+  test("a KB without relation triples has no top relations") {
+    val literalsOnly = KB.literals(kb)
+    assert(AttributeStats.topNRelations(literalsOnly, 3).isEmpty)
+    assert(AttributeStats.topKNameAttributes(literalsOnly, 1) == Seq("name"))
+  }
+
+  test("an empty KB has no statistics") {
+    assert(AttributeStats.of(kb.limit(0)) == KBStats(Nil, Nil))
   }
 
   test("literal attr raw counts agree with DuckDB oracle") {

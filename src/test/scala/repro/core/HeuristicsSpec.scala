@@ -116,6 +116,19 @@ class HeuristicsSpec extends SparkSpec {
     assert(m2 == Set((0L, 5L)))
   }
 
+  test("H2 and H3 ignore duplicate ids in the matched-id sets") {
+    val vs = Seq((0L, 9L, 2.0), (1L, 9L, 1.5), (1L, 7L, 1.2), (2L, 6L, 0.3), (3L, 5L, 0.2))
+      .toDF("e1", "e2", "vsim")
+    val ns = Seq((2L, 6L, 1.0), (3L, 6L, 0.5)).toDF("e1", "e2", "nsim")
+    def h2(m1: DataFrame, m2: DataFrame) = Heuristics.h2(vs, m1, m2).as[(Long, Long)].collect().toSet
+    def h3(m1: DataFrame, m2: DataFrame) =
+      Heuristics.h3(vs, ns, m1, m2, 15, 0.6).as[(Long, Long)].collect().toSet
+    assert(h2(e1s(0L, 0L, 3L, 3L), e2s(9L, 9L)) == h2(e1s(0L, 3L), e2s(9L)))
+    assert(h2(e1s(0L, 3L), e2s(9L)) == Set((1L, 7L)))
+    assert(h3(e1s(0L, 0L, 1L, 1L), e2s(9L, 9L, 7L)) == h3(e1s(0L, 1L), e2s(9L, 7L)))
+    assert(h3(e1s(0L, 1L), e2s(9L, 7L)) == Set((2L, 6L), (3L, 5L)))
+  }
+
   // ------------------------------------------------------------------- H4
 
   test("H4 keeps reciprocally top-ranked pairs") {
@@ -154,6 +167,22 @@ class HeuristicsSpec extends SparkSpec {
     val vs = Seq((0L, 9L, 1.0), (5L, 9L, 2.0)).toDF("e1", "e2", "vsim")
     val ns = Seq((5L, 9L, 1.0)).toDF("e1", "e2", "nsim")
     assert(Heuristics.h4(cands, vs, ns, 1).count() == 0)
+  }
+
+  test("H4 keeps a pair in both the value and the neighbor top-K exactly once") {
+    val cands = Seq((0L, 9L, "H2"), (1L, 8L, "H3")).toDF("e1", "e2", "heuristic")
+    val vs = Seq((0L, 9L, 1.0), (1L, 8L, 0.5)).toDF("e1", "e2", "vsim")
+    val ns = Seq((0L, 9L, 2.0), (1L, 8L, 1.0)).toDF("e1", "e2", "nsim")
+    val kept = Heuristics.h4(cands, vs, ns, 15).as[(Long, Long, String)].collect().toSeq
+    assert(kept.sorted == Seq((0L, 9L, "H2"), (1L, 8L, "H3")))
+  }
+
+  test("H4 ranks value and neighbor lists separately") {
+    // Within K=1, e1=0 prefers 8 by value and 9 by neighbors; e2=9 has only e1=0.
+    val cands = Seq((0L, 9L)).toDF("e1", "e2")
+    val vs = Seq((0L, 8L, 5.0), (0L, 9L, 1.0)).toDF("e1", "e2", "vsim")
+    val ns = Seq((0L, 9L, 0.1), (0L, 8L, 0.05)).toDF("e1", "e2", "nsim")
+    assert(Heuristics.h4(cands, vs, ns, 1).count() == 1)
   }
 
   test("H4 preserves the heuristic tag column") {

@@ -1,7 +1,10 @@
 package repro.core
 
 import repro.SparkSpec
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.Exchange
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 
 /** End-to-end pipeline on a hand-crafted KB pair where every heuristic has a
   * designated winner:
@@ -15,7 +18,7 @@ import org.apache.spark.sql.functions._
 class MinoanERSpec extends SparkSpec {
   import spark.implicits._
 
-  private def kb1 = KB.fromRows(spark, Seq(
+  private val rows1 = Seq(
     KB.TripleRow(0, "n1", Some("Zeus King"), None),
     KB.TripleRow(1, "n1", Some("hera1"), None),
     KB.TripleRow(2, "n1", Some("ares1"), None),
@@ -25,9 +28,9 @@ class MinoanERSpec extends SparkSpec {
     KB.TripleRow(2, "v1", Some("mm nn c1x"), None),
     KB.TripleRow(3, "v1", Some("mm nn c1y"), None),
     KB.TripleRow(2, "r1", None, Some(1L)),
-    KB.TripleRow(0, "r1", None, Some(1L))))
+    KB.TripleRow(0, "r1", None, Some(1L)))
 
-  private def kb2 = KB.fromRows(spark, Seq(
+  private val rows2 = Seq(
     KB.TripleRow(0, "n2", Some("zeus king"), None),
     KB.TripleRow(1, "n2", Some("hera2"), None),
     KB.TripleRow(2, "n2", Some("ares2"), None),
@@ -37,12 +40,16 @@ class MinoanERSpec extends SparkSpec {
     KB.TripleRow(2, "v2", Some("mm c2x"), None),
     KB.TripleRow(3, "v2", Some("mm nn c2y"), None),
     KB.TripleRow(2, "r2", None, Some(1L)),
-    KB.TripleRow(0, "r2", None, Some(1L))))
+    KB.TripleRow(0, "r2", None, Some(1L)))
+
+  private def kb1 = KB.fromRows(spark, rows1)
+  private def kb2 = KB.fromRows(spark, rows2)
 
   // purgeSmooth=100: the two-level comparison histogram of this tiny KB would
   // otherwise purge the mm/nn blocks that H3 needs (purging is unit-tested in
   // TokenBlockingSpec on realistic histograms).
-  private lazy val res = MinoanER.resolve(spark, kb1, kb2, MinoanERParams(purgeSmooth = 100.0))
+  private val params = MinoanERParams(purgeSmooth = 100.0)
+  private lazy val res = MinoanER.resolve(spark, kb1, kb2, params)
   private lazy val byHeuristic: Map[String, Set[(Long, Long)]] =
     res.matches.as[(Long, Long, String)].collect()
       .groupBy(_._3).map { case (h, rows) => h -> rows.map(r => (r._1, r._2)).toSet }
@@ -117,5 +124,35 @@ class MinoanERSpec extends SparkSpec {
   test("name blocks exist for the shared name") {
     val names = res.nameBlocks.select("name").as[String].collect().toSet
     assert(names.contains("zeus king"))
+  }
+
+  // Job counts are those of the static plan: with adaptive execution on,
+  // every exchange runs as a job of its own.
+  private val staticPlans = "spark.sql.adaptive.enabled" -> "false"
+
+  test("resolve launches only the statistics and purging jobs") {
+    val (_, jobs) = withConf(staticPlans)(countingJobs(MinoanER.resolve(spark, kb1, kb2, params)))
+    assert(jobs <= 3, s"resolve launched $jobs Spark jobs")
+  }
+
+  test("the matches are persisted: once collected, reading them recomputes nothing") {
+    withConf(staticPlans) {
+      val r = MinoanER.resolve(spark, kb1, kb2, params)
+      assert(r.matches.storageLevel != StorageLevel.NONE)
+      r.matches.collect()
+      val plan = r.matches.queryExecution.executedPlan
+      assert(plan.collectLeaves().forall(_.isInstanceOf[InMemoryTableScanExec]), plan)
+      assert(plan.collect { case e: Exchange => e }.isEmpty, plan)
+    }
+  }
+
+  test("a KB pair without relation triples resolves end to end") {
+    val r = MinoanER.resolve(spark,
+      KB.fromRows(spark, rows1.filter(_.obj.isEmpty)),
+      KB.fromRows(spark, rows2.filter(_.obj.isEmpty)), params)
+    assert(r.topRels1.isEmpty && r.topRels2.isEmpty)
+    assert(r.neighborSims.count() == 0)
+    val m = r.matches.as[(Long, Long, String)].collect().toSet
+    assert(Set((0L, 0L, "H1"), (1L, 1L, "H2")).subsetOf(m), m)
   }
 }
