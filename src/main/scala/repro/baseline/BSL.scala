@@ -25,35 +25,23 @@ object BSL {
 
   val Thresholds: Seq[Double] = (0 until 20).map(_ * 0.05)
 
-  /** Candidate pairs = co-occurrence in B_N ∪ B_T (purged token blocks). */
-  def candidates(kb1: DataFrame, kb2: DataFrame,
-                 params: MinoanERParams = MinoanERParams()): DataFrame = {
-    val nameAttrs1 = AttributeStats.topKNameAttributes(kb1, params.k)
-    val nameAttrs2 = AttributeStats.topKNameAttributes(kb2, params.k)
-    val names1 = NameBlocking.names(kb1, nameAttrs1)
-    val names2 = NameBlocking.names(kb2, nameAttrs2)
-    val tok1 = Tokenizer.entityTokens(kb1)
-    val tok2 = Tokenizer.entityTokens(kb2)
-    val kept = TokenBlocking.purge(TokenBlocking.blocks(tok1, tok2), params.purgeSmooth)
-    NameBlocking.candidatePairs(names1, names2)
-      .union(TokenBlocking.candidatePairs(tok1, tok2, kept))
-      .distinct()
-  }
-
-  /** Full sweep; returns (best outcome, all outcomes).
+  /** Full sweep over the given (e1, e2) candidate pairs — co-occurrence in
+    * B_N ∪ B_T, see [[MinoanER.candidatePairs]]; returns (best outcome, all
+    * outcomes).
     *
     * One greedy UMC pass per (n, weighting, measure) is threshold-sweepable
     * (see UniqueMappingClustering), so the 420-config grid costs 24 passes.
     */
   def sweep(spark: SparkSession,
             kb1: DataFrame, kb2: DataFrame, gt: DataFrame,
+            candidates: DataFrame,
             ns: Seq[Int] = Seq(1, 2, 3),
             weightings: Seq[String] = Weighting.all,
             measures: Seq[String] = BslSimilarities.all,
             thresholds: Seq[Double] = Thresholds,
             dfCap: Long = 1000): (BslOutcome, Seq[BslOutcome]) = {
 
-    val cands = candidates(kb1, kb2).cache()
+    val cands = candidates.cache()
     val gtSet   = gt.select("e1", "e2").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val gtE1    = gtSet.map(_._1)
     val nActual = gtSet.size

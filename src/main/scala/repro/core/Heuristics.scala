@@ -38,29 +38,29 @@ object Heuristics {
       .select("e1", "e2")
   }
 
-  /** Normalized-rank scores of a candidate list.
-    *
-    * Candidates of each `e1` are ranked by `simCol` (desc, id-ascending tie
-    * break) and truncated to the top K; a list of size L scores its p-th
-    * element (L - p + 1) / L, i.e. 1 for the best and 1/L for the worst.
+  /** valueSim and non-zero neighborSim as one (e1, e2, kind = "v" | "n", sim) relation. */
+  private def kindTagged(valueSims: DataFrame, neighborSims: DataFrame): DataFrame =
+    valueSims.select(col("e1"), col("e2"), lit("v").as("kind"), col("vsim").as("sim"))
+      .union(neighborSims.where(col("nsim") > 0)
+               .select(col("e1"), col("e2"), lit("n").as("kind"), col("nsim").as("sim")))
+
+  /** Every `side` entity's top-K value and neighbor candidates, ranked 1..K
+    * in `rn` by sim desc, the smaller `other` id first on ties.
     */
-  private def rankScores(sims: DataFrame, simCol: String, K: Int, outCol: String): DataFrame = {
-    val w = Window.partitionBy("e1").orderBy(desc(simCol), asc("e2"))
-    sims.withColumn("pos", row_number().over(w))
-      .where(col("pos") <= K)
-      .withColumn("lsize", count(lit(1)).over(Window.partitionBy("e1")))
-      .select(
-        col("e1"), col("e2"),
-        ((col("lsize") - col("pos") + 1).cast("double") / col("lsize")).as(outCol))
+  private def topK(sims: DataFrame, side: String, other: String, K: Int): DataFrame = {
+    val w = Window.partitionBy(side, "kind").orderBy(desc("sim"), asc(other))
+    sims.withColumn("rn", row_number().over(w)).where(col("rn") <= K)
   }
 
   /** H3 — rank aggregation heuristic.
     *
     * For every not-yet-matched KB1 entity: rank its candidates by valueSim
-    * and (separately) by non-zero neighborSim; aggregate the two normalized
-    * ranks with weight θ on the value list and 1-θ on the neighbor list; its
-    * top-1 aggregate candidate is a match ("there is no better candidate for
-    * ei than ej").
+    * and (separately) by non-zero neighborSim, each list cut to the top K; a
+    * list of size L scores its p-th element (L - p + 1) / L, i.e. 1 for the
+    * best and 1/L for the worst. The two normalized ranks are summed with
+    * weight θ on the value list and 1-θ on the neighbor list (a candidate in
+    * one list only scores 0 in the other); the top-1 aggregate candidate is a
+    * match ("there is no better candidate for ei than ej").
     */
   def h3(valueSims: DataFrame,
          neighborSims: DataFrame,
@@ -68,15 +68,16 @@ object Heuristics {
          matchedE2: DataFrame,
          K: Int,
          theta: Double): DataFrame = {
-    val v = excludeMatched(valueSims, matchedE1, matchedE2)
-    val n = excludeMatched(neighborSims.where(col("nsim") > 0), matchedE1, matchedE2)
-    val sv = rankScores(v, "vsim", K, "sv")
-    val sn = rankScores(n, "nsim", K, "sn")
-    val agg = sv.join(sn, Seq("e1", "e2"), "outer")
-      .na.fill(0.0, Seq("sv", "sn"))
-      .withColumn("score", lit(theta) * col("sv") + lit(1.0 - theta) * col("sn"))
+    val sims = excludeMatched(kindTagged(valueSims, neighborSims), matchedE1, matchedE2)
+    val normRank = (col("lsize") - col("rn") + 1).cast("double") / col("lsize")
+    // A pair's score sums at most two terms, so it does not depend on the
+    // order Spark adds them in.
+    val scores = topK(sims, "e1", "e2", K)
+      .withColumn("lsize", count(lit(1)).over(Window.partitionBy("e1", "kind")))
+      .groupBy("e1", "e2")
+      .agg(sum(when(col("kind") === "v", theta).otherwise(1.0 - theta) * normRank).as("score"))
     val w = Window.partitionBy("e1").orderBy(desc("score"), asc("e2"))
-    agg.withColumn("rn", row_number().over(w))
+    scores.withColumn("rn", row_number().over(w))
       .where(col("rn") === 1)
       .select("e1", "e2")
   }
@@ -93,17 +94,9 @@ object Heuristics {
          valueSims: DataFrame,
          neighborSims: DataFrame,
          K: Int): DataFrame = {
-    val sims = valueSims.select(col("e1"), col("e2"), lit("v").as("kind"), col("vsim").as("sim"))
-      .union(neighborSims.where(col("nsim") > 0)
-               .select(col("e1"), col("e2"), lit("n").as("kind"), col("nsim").as("sim")))
-    def topK(side: String, other: String): DataFrame = {
-      val w = Window.partitionBy(side, "kind").orderBy(desc("sim"), asc(other))
-      sims.withColumn("rn", row_number().over(w))
-        .where(col("rn") <= K)
-        .select("e1", "e2")
-    }
+    val sims = kindTagged(valueSims, neighborSims)
     candidates
-      .join(topK("e1", "e2"), Seq("e1", "e2"), "left_semi")
-      .join(topK("e2", "e1"), Seq("e1", "e2"), "left_semi")
+      .join(topK(sims, "e1", "e2", K).select("e1", "e2"), Seq("e1", "e2"), "left_semi")
+      .join(topK(sims, "e2", "e1", K).select("e1", "e2"), Seq("e1", "e2"), "left_semi")
   }
 }

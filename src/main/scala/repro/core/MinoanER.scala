@@ -11,18 +11,27 @@ final case class MinoanERParams(
     theta: Double = 0.6,  // trade-off value-based vs neighbor-based candidates
     purgeSmooth: Double = 1.025)
 
-/** Everything the pipeline produces, incl. intermediates for Table II. */
+/** The matches and the evidence they were decided on, which the baselines
+  * and the report tables read instead of deriving it again.
+  */
 final case class MinoanERResult(
     matches: DataFrame,          // (e1, e2, heuristic)
     nameAttrs1: Seq[String],
     nameAttrs2: Seq[String],
     topRels1: Seq[String],
     topRels2: Seq[String],
+    names1: DataFrame,           // (eid, name)
+    names2: DataFrame,
+    tokens1: DataFrame,          // distinct (eid, token)
+    tokens2: DataFrame,
+    neighbors1: DataFrame,       // (eid, nbr) via the top relations
+    neighbors2: DataFrame,
     nameBlocks: DataFrame,       // (name, n1, n2, comparisons)
     tokenBlocksAll: DataFrame,   // pre-purging (token, n1, n2, comparisons)
     tokenBlocks: DataFrame,      // post-purging
     valueSims: DataFrame,        // (e1, e2, vsim)
-    neighborSims: DataFrame)     // (e1, e2, nsim)
+    neighborSims: DataFrame,     // (e1, e2, nsim)
+    h1Matches: DataFrame)        // (e1, e2, heuristic = "H1")
 
 /** The MinoanER non-iterative matching process.
   *
@@ -87,6 +96,22 @@ object MinoanER {
     val matches = Heuristics.h4(all, vs, ns, params.K).cache()
 
     MinoanERResult(matches, nameAttrs1, nameAttrs2, topRels1, topRels2,
-                   bn, btAll, btKept, vs, ns)
+                   names1, names2, tok1, tok2, nbrs1, nbrs2, bn, btAll, btKept, vs, ns, m1)
+  }
+
+  /** The distinct (e1, e2) pairs that share a block of B_N or a kept block of
+    * B_T: the comparisons BSL makes, and the pairs Table II's blocking recall
+    * counts.
+    */
+  def candidatePairs(names1: DataFrame, names2: DataFrame,
+                     tokens1: DataFrame, tokens2: DataFrame,
+                     keptBlocks: DataFrame): DataFrame = {
+    def coOccurring(keys1: DataFrame, keys2: DataFrame, key: String): DataFrame =
+      keys1.select(col(KB.Eid).as("e1"), col(key))
+        .join(keys2.select(col(KB.Eid).as("e2"), col(key)), key)
+        .select("e1", "e2")
+    coOccurring(names1, names2, "name")
+      .union(coOccurring(tokens1.join(keptBlocks.select("token"), "token"), tokens2, "token"))
+      .distinct()
   }
 }

@@ -29,13 +29,6 @@ object NameBlocking {
     b1.join(b2, "name").withColumn("comparisons", col("n1") * col("n2"))
   }
 
-  /** All candidate pairs suggested by the name blocks (for Table II / BSL). */
-  def candidatePairs(names1: DataFrame, names2: DataFrame): DataFrame =
-    names1.select(col(KB.Eid).as("e1"), col("name"))
-      .join(names2.select(col(KB.Eid).as("e2"), col("name")), "name")
-      .select("e1", "e2")
-      .distinct()
-
   /** H1 matches: name blocks of size exactly 1 x 1. */
   def h1Matches(names1: DataFrame, names2: DataFrame): DataFrame = {
     val u1 = names1.groupBy("name")

@@ -65,14 +65,6 @@ object TokenBlocking {
     blockDf.where(col("comparisons") <= maxComparisons)
   }
 
-  /** All candidate pairs suggested by a block collection (token blocks). */
-  def candidatePairs(tokens1: DataFrame, tokens2: DataFrame, keptBlocks: DataFrame): DataFrame =
-    tokens1.select(col(KB.Eid).as("e1"), col("token"))
-      .join(keptBlocks.select("token"), "token")
-      .join(tokens2.select(col(KB.Eid).as("e2"), col("token")), "token")
-      .select("e1", "e2")
-      .distinct()
-
   /** Aggregate size of a block collection: (#blocks, total comparisons). */
   def stats(blockDf: DataFrame): (Long, Double) = {
     val r = blockDf.agg(count(lit(1)).as("nb"), coalesce(sum("comparisons"), lit(0L)).as("cc"))

@@ -57,16 +57,10 @@ object Tables {
     val pair = KBGen.generate(spark, cfg)
     val res  = MinoanER.resolve(spark, pair.kb1, pair.kb2, params)
 
-    val names1 = NameBlocking.names(pair.kb1, res.nameAttrs1)
-    val names2 = NameBlocking.names(pair.kb2, res.nameAttrs2)
     val (bnN, bnC) = TokenBlocking.stats(res.nameBlocks)
     val (btN, btC) = TokenBlocking.stats(res.tokenBlocks)
-
-    val tok1 = Tokenizer.entityTokens(pair.kb1)
-    val tok2 = Tokenizer.entityTokens(pair.kb2)
-    val candidatePairs = NameBlocking.candidatePairs(names1, names2)
-      .union(TokenBlocking.candidatePairs(tok1, tok2, res.tokenBlocks))
-      .distinct()
+    val candidatePairs = MinoanER.candidatePairs(
+      res.names1, res.names2, res.tokens1, res.tokens2, res.tokenBlocks)
 
     val n1 = KB.numEntities(pair.kb1).toDouble
     val n2 = KB.numEntities(pair.kb2).toDouble
@@ -98,10 +92,12 @@ object Tables {
     val perH = res.matches.groupBy("heuristic").count().collect()
       .map(r => r.getString(0) -> r.getLong(1)).toMap
 
-    val (bslBest, _) = BSL.sweep(spark, pair.kb1, pair.kb2, pair.groundTruth, ns = bslNs)
+    val cands = MinoanER.candidatePairs(
+      res.names1, res.names2, res.tokens1, res.tokens2, res.tokenBlocks)
+    val (bslBest, _) = BSL.sweep(spark, pair.kb1, pair.kb2, pair.groundTruth, cands, ns = bslNs)
 
     import spark.implicits._
-    val sigma = SigmaLite.resolve(pair.kb1, pair.kb2, params).toDF("e1", "e2")
+    val sigma = SigmaLite.resolve(res).toDF("e1", "e2")
     val sPrf  = Evaluation.evaluateOnGtE1(sigma, pair.groundTruth)
     val paris = ParisLite.resolve(pair.kb1, pair.kb2).toDF("e1", "e2")
     val pPrf  = Evaluation.evaluateOnGtE1(paris, pair.groundTruth)

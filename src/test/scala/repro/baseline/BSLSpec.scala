@@ -1,13 +1,17 @@
 package repro.baseline
 
 import repro.SparkSpec
+import repro.core.MinoanER
 import repro.kb.{Datasets, KBGen}
 
 class BSLSpec extends SparkSpec {
 
   private lazy val pair = KBGen.generate(spark, Datasets.testScale(Datasets.restaurant))
+  private lazy val res = MinoanER.resolve(spark, pair.kb1, pair.kb2)
+  private lazy val cands = MinoanER.candidatePairs(
+    res.names1, res.names2, res.tokens1, res.tokens2, res.tokenBlocks)
   private lazy val sweep = BSL.sweep(
-    spark, pair.kb1, pair.kb2, pair.groundTruth,
+    spark, pair.kb1, pair.kb2, pair.groundTruth, cands,
     ns = Seq(1), weightings = Seq(Weighting.TFIDF),
     thresholds = Seq(0.0, 0.2, 0.4))
 
@@ -37,7 +41,6 @@ class BSLSpec extends SparkSpec {
   }
 
   test("candidates cover the ground truth (blocking recall)") {
-    val cands = BSL.candidates(pair.kb1, pair.kb2)
     val found = pair.groundTruth.join(cands, Seq("e1", "e2"), "left_semi").count()
     assert(found.toDouble / pair.groundTruth.count() > 0.9)
   }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import org.apache.spark.sql.DataFrame
 
 class HeuristicsSpec extends SparkSpec {
@@ -127,6 +127,61 @@ class HeuristicsSpec extends SparkSpec {
     assert(h2(e1s(0L, 3L), e2s(9L)) == Set((1L, 7L)))
     assert(h3(e1s(0L, 0L, 1L, 1L), e2s(9L, 9L, 7L)) == h3(e1s(0L, 1L), e2s(9L, 7L)))
     assert(h3(e1s(0L, 1L), e2s(9L, 7L)) == Set((2L, 6L), (3L, 5L)))
+  }
+
+  test("H3 agrees with a DuckDB oracle of the θ-weighted normalized-rank aggregation") {
+    val vs = Seq(
+      (0L, 10L, 0.9), (0L, 11L, 0.9), (0L, 12L, 0.5), (0L, 13L, 0.4), // sim tie, K cut
+      (1L, 10L, 0.8), (1L, 15L, 0.3), (1L, 16L, 0.2),
+      (2L, 16L, 1.0),                                                 // matched e1
+      (3L, 17L, 0.2), (3L, 18L, 0.2),                                 // score tie
+      (5L, 12L, 0.7), (5L, 20L, 0.6),
+      (6L, 30L, 0.9), (6L, 31L, 0.5)).toDF("e1", "e2", "vsim")
+    val ns = Seq(
+      (0L, 13L, 2.0), (0L, 12L, 1.0), (0L, 14L, 0.5), (0L, 11L, 0.0),
+      (1L, 16L, 1.0), (2L, 15L, 3.0),
+      (4L, 19L, 0.7), (4L, 18L, 0.7),                                 // neighbor list only
+      (5L, 10L, 4.0), (5L, 20L, 1.0),
+      (6L, 32L, 2.0), (6L, 31L, 1.0)).toDF("e1", "e2", "nsim") // each list normalized by its own size
+    val (m1, m2) = (e1s(2L), e2s(10L))
+    // The paper's definition, written independently of the Spark plan: each
+    // list is ranked and cut to K on its own, and the two normalized ranks
+    // meet in an outer join.
+    def oracle(K: Int, theta: Double): String =
+      s"""WITH sims AS (
+         |  SELECT 'v' AS kind, CAST(e1 AS BIGINT) AS e1, CAST(e2 AS BIGINT) AS e2,
+         |         CAST(vsim AS DOUBLE) AS sim FROM vs
+         |  UNION ALL
+         |  SELECT 'n', CAST(e1 AS BIGINT), CAST(e2 AS BIGINT), CAST(nsim AS DOUBLE) FROM ns
+         |  WHERE CAST(nsim AS DOUBLE) > 0),
+         |live AS (
+         |  SELECT * FROM sims
+         |  WHERE e1 NOT IN (SELECT CAST(e1 AS BIGINT) FROM m1)
+         |    AND e2 NOT IN (SELECT CAST(e2 AS BIGINT) FROM m2)),
+         |ranked AS (
+         |  SELECT kind, e1, e2,
+         |         row_number() OVER (PARTITION BY kind, e1 ORDER BY sim DESC, e2) AS pos
+         |  FROM live),
+         |lists AS (
+         |  SELECT kind, e1, e2, CAST(count(*) OVER (PARTITION BY kind, e1) - pos + 1 AS DOUBLE)
+         |         / count(*) OVER (PARTITION BY kind, e1) AS norm
+         |  FROM ranked WHERE pos <= $K),
+         |v AS (SELECT e1, e2, norm FROM lists WHERE kind = 'v'),
+         |n AS (SELECT e1, e2, norm FROM lists WHERE kind = 'n'),
+         |agg AS (
+         |  SELECT coalesce(v.e1, n.e1) AS e1, coalesce(v.e2, n.e2) AS e2,
+         |         CAST('$theta' AS DOUBLE) * coalesce(v.norm, 0)
+         |           + CAST('${1.0 - theta}' AS DOUBLE) * coalesce(n.norm, 0) AS score
+         |  FROM v FULL OUTER JOIN n ON v.e1 = n.e1 AND v.e2 = n.e2)
+         |SELECT e1, e2 FROM (
+         |  SELECT e1, e2, row_number() OVER (PARTITION BY e1 ORDER BY score DESC, e2) AS rn
+         |  FROM agg)
+         |WHERE rn = 1""".stripMargin
+    for ((k, theta) <- Seq((3, 0.6), (1, 0.3), (15, 1.0), (2, 0.0))) {
+      val got = Heuristics.h3(vs, ns, m1, m2, k, theta)
+      assert(got.count() == 6, (k, theta)) // e1 = 0, 1, 3, 4, 5, 6; 2 is matched
+      Oracle.assertEquivalent(got, oracle(k, theta), "vs" -> vs, "ns" -> ns, "m1" -> m1, "m2" -> m2)
+    }
   }
 
   // ------------------------------------------------------------------- H4

@@ -64,7 +64,9 @@ class NameBlockingSpec extends SparkSpec {
   }
 
   test("candidatePairs unions every cross pair of each block") {
-    val p = NameBlocking.candidatePairs(n1, n2).as[(Long, Long)].collect().toSet
+    val noTokens = Seq.empty[(Long, String)].toDF("eid", "token")
+    val p = MinoanER.candidatePairs(n1, n2, noTokens, noTokens, TokenBlocking.blocks(noTokens, noTokens))
+      .as[(Long, Long)].collect().toSet
     assert(p == Set((0L, 10L), (2L, 12L), (3L, 12L), (1L, 13L), (1L, 14L)))
   }
 

@@ -7,6 +7,7 @@ class TokenBlockingSpec extends SparkSpec {
   import spark.implicits._
 
   private def toks(pairs: (Long, String)*) = pairs.toDF("eid", "token")
+  private def noNames = Seq.empty[(Long, String)].toDF("eid", "name")
 
   test("blocks keep only tokens present on both sides") {
     val b = TokenBlocking.blocks(
@@ -73,7 +74,7 @@ class TokenBlockingSpec extends SparkSpec {
     val t2 = toks((9L, "a"), (8L, "a"), (7L, "b"))
     val blocks = TokenBlocking.blocks(t1, t2)
     val onlyA = blocks.where(col("token") === "a")
-    val p = TokenBlocking.candidatePairs(t1, t2, onlyA).as[(Long, Long)].collect().toSet
+    val p = MinoanER.candidatePairs(noNames, noNames, t1, t2, onlyA).as[(Long, Long)].collect().toSet
     assert(p == Set((0L, 9L), (0L, 8L)))
   }
 
@@ -81,7 +82,10 @@ class TokenBlockingSpec extends SparkSpec {
     val t1 = toks((0L, "a"), (0L, "b"))
     val t2 = toks((9L, "a"), (9L, "b"))
     val blocks = TokenBlocking.blocks(t1, t2)
-    assert(TokenBlocking.candidatePairs(t1, t2, blocks).count() == 1)
+    assert(MinoanER.candidatePairs(noNames, noNames, t1, t2, blocks).count() == 1)
+    // ... and in a name block as well.
+    val name = (eid: Long) => Seq((eid, "a b")).toDF("eid", "name")
+    assert(MinoanER.candidatePairs(name(0L), name(9L), t1, t2, blocks).count() == 1)
   }
 
   test("stats sum comparisons with multiplicity") {

@@ -43,7 +43,8 @@ class DatasetsSpec extends SparkSpec {
       val tok1 = Tokenizer.entityTokens(pair.kb1)
       val tok2 = Tokenizer.entityTokens(pair.kb2)
       val kept = TokenBlocking.purge(TokenBlocking.blocks(tok1, tok2))
-      val cands = TokenBlocking.candidatePairs(tok1, tok2, kept)
+      val noNames = spark.createDataFrame(Seq.empty[(Long, String)]).toDF("eid", "name")
+      val cands = MinoanER.candidatePairs(noNames, noNames, tok1, tok2, kept)
       val found = pair.groundTruth.join(cands, Seq("e1", "e2"), "left_semi").count()
       // Paper reports > 99% blocking recall; small scale tolerates a bit less.
       assert(found.toDouble / pair.groundTruth.count() > 0.9, cfg.name)
